@@ -10,6 +10,12 @@ round-trips the Python value types we actually use in messages:
 * dicts with non-string keys,
 * ``None``, ``bool``, ``int``, ``float``, ``str``, lists.
 
+Each registered class gets an encoder built once from its field names,
+values are dispatched on their exact type, and decoding is one pass of
+the JSON scanner with an object hook.  The bytes are a compatibility
+contract — WAL entries and checkpoints are stored in them — held by the
+golden-bytes test ``tests/net/test_golden_wire.py``.
+
 The simulated transport can be configured to round-trip every message
 through this codec, which proves in tests that nothing unserializable ever
 crosses a (simulated) wire; the asyncio transport uses it for real.
@@ -20,6 +26,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+from collections.abc import Callable
 from typing import Any, Type, TypeVar
 
 from repro.errors import CodecError
@@ -50,72 +57,96 @@ def message(cls: Type[_T]) -> Type[_T]:
     if existing is not None and existing is not cls:
         raise CodecError(f"duplicate message tag {tag!r}")
     registry[tag] = cls
+    _ENCODERS[cls] = _message_encoder(tag, tuple(f.name for f in dataclasses.fields(cls)))
     return cls
 
 
 # ----------------------------------------------------------------------
-# Encoding
+# Encoding: value -> JSON-ready tree, dispatched on the exact type
 # ----------------------------------------------------------------------
-def _encode_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        tag = type(value).__name__
-        if tag not in registry:
-            raise CodecError(f"dataclass {tag} is not a registered message")
-        fields = {
-            field.name: _encode_value(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
+def _message_encoder(tag: str, names: tuple[str, ...]) -> Callable[[Any], Any]:
+    def encode(value: Any) -> Any:
+        fields = {}
+        for name in names:
+            item = getattr(value, name)
+            fields[name] = item if type(item) in _SCALARS else _tree(item)
         return {"__msg__": tag, "f": fields}
-    if isinstance(value, bytes):
-        return {"__b64__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, (set, frozenset)):
-        return {"__set__": [_encode_value(item) for item in sorted(value, key=repr)]}
-    if isinstance(value, tuple):
-        return {"__tup__": [_encode_value(item) for item in value]}
-    if isinstance(value, list):
-        return [_encode_value(item) for item in value]
-    if isinstance(value, dict):
-        if all(isinstance(key, str) and not key.startswith("__") for key in value):
-            return {key: _encode_value(item) for key, item in value.items()}
-        return {
-            "__dict__": [
-                [_encode_value(key), _encode_value(item)] for key, item in value.items()
-            ]
-        }
-    raise CodecError(f"cannot encode value of type {type(value).__name__}: {value!r}")
+
+    return encode
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, list):
-        return [_decode_value(item) for item in value]
-    if isinstance(value, dict):
-        if "__msg__" in value:
-            tag = value["__msg__"]
-            cls = registry.get(tag)
-            if cls is None:
-                raise CodecError(f"unknown message tag {tag!r}")
-            fields = {key: _decode_value(item) for key, item in value["f"].items()}
-            return cls(**fields)
-        if "__b64__" in value:
-            return base64.b64decode(value["__b64__"])
-        if "__set__" in value:
-            return frozenset(_decode_value(item) for item in value["__set__"])
-        if "__tup__" in value:
-            return tuple(_decode_value(item) for item in value["__tup__"])
-        if "__dict__" in value:
-            return {
-                _decode_value(key): _decode_value(item) for key, item in value["__dict__"]
-            }
-        return {key: _decode_value(item) for key, item in value.items()}
-    return value
+def _dict_tree(value: dict) -> Any:
+    if all(isinstance(key, str) and not key.startswith("__") for key in value):
+        return {key: _tree(item) for key, item in value.items()}
+    return {"__dict__": [[_tree(key), _tree(item)] for key, item in value.items()]}
+
+
+_SCALARS = frozenset({type(None), bool, int, float, str})
+#: Base types in the order the wire format resolves them; subclasses
+#: (str enums, named tuples, ...) encode as their first matching base.
+_BASE_ENCODERS: tuple[tuple[tuple[type, ...], Callable[[Any], Any]], ...] = (
+    (tuple(_SCALARS), lambda value: value),
+    ((bytes,), lambda value: {"__b64__": base64.b64encode(value).decode("ascii")}),
+    ((set, frozenset), lambda value: {"__set__": [_tree(item) for item in sorted(value, key=repr)]}),
+    ((tuple,), lambda value: {"__tup__": [_tree(item) for item in value]}),
+    ((list,), lambda value: [_tree(item) for item in value]),
+    ((dict,), _dict_tree),
+)
+#: Exact type -> encoder, filled on first sight; :func:`message` adds messages.
+_ENCODERS: dict[type, Callable[[Any], Any]] = {}
+
+
+def _tree(value: Any) -> Any:
+    """The JSON-ready form of ``value``: markers for non-JSON shapes."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    encode = _ENCODERS.get(kind)
+    if encode is None:
+        if dataclasses.is_dataclass(kind):
+            raise CodecError(f"dataclass {kind.__name__} is not a registered message")
+        encode = next((enc for kinds, enc in _BASE_ENCODERS if issubclass(kind, kinds)), None)
+        if encode is None:
+            raise CodecError(f"cannot encode value of type {kind.__name__}: {value!r}")
+        _ENCODERS[kind] = encode
+    return encode(value)
+
+
+# ----------------------------------------------------------------------
+# Decoding: one pass of the JSON scanner with a marker-object hook
+# ----------------------------------------------------------------------
+_MARKERS: dict[str, Callable[[Any], Any]] = {
+    "__b64__": base64.b64decode,
+    "__set__": frozenset,
+    "__tup__": tuple,
+    "__dict__": dict,
+}
+
+
+def _object_hook(obj: dict) -> Any:
+    if "__msg__" in obj:
+        cls = registry.get(obj["__msg__"])
+        if cls is None:
+            raise CodecError(f"unknown message tag {obj['__msg__']!r}")
+        return cls(**obj["f"])
+    if len(obj) == 1:
+        for key, value in obj.items():
+            decode = _MARKERS.get(key)
+            if decode is not None:
+                return decode(value)
+    return obj
+
+
+# ``check_circular`` is off: the tree is rebuilt per message, so a cycle
+# in a message recurses in :func:`_tree` before the JSON encoder sees it.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_JSON_DECODER = json.JSONDecoder(object_hook=_object_hook)
 
 
 def encode_message(msg: Any) -> bytes:
     """Serialize a registered message to its JSON wire bytes."""
     try:
-        return json.dumps(_encode_value(msg), separators=(",", ":")).encode()
+        return _JSON_ENCODER.encode(_tree(msg)).encode()
     except (TypeError, ValueError) as exc:
         raise CodecError(f"failed to encode {msg!r}") from exc
 
@@ -123,7 +154,7 @@ def encode_message(msg: Any) -> bytes:
 def decode_message(data: bytes) -> Any:
     """Deserialize wire bytes produced by :func:`encode_message`."""
     try:
-        return _decode_value(json.loads(data))
+        return _JSON_DECODER.decode(data.decode())
     except (TypeError, ValueError, KeyError) as exc:
         raise CodecError(f"failed to decode {data[:80]!r}") from exc
 

@@ -2,9 +2,13 @@
 
 An :class:`AioWorld` holds the node directory (``node_id -> (host, port)``)
 and mints :class:`AioNodeRuntime` instances.  Each node runtime owns an
-:class:`~repro.net.asyncio_transport.AioTransport`; ``send`` schedules the
-write as a task so protocol cores stay non-blocking, matching the
-fire-and-forget semantics of the simulated transport.
+:class:`~repro.net.asyncio_transport.AioTransport`; ``send`` posts to it
+synchronously — no task per send, one buffered write per destination and
+loop iteration, FIFO per link — so protocol cores stay non-blocking,
+matching the fire-and-forget semantics of the simulated transport.  A
+send to the node itself is handed over in process, by reference, as the
+simulated network does.  ``execute`` runs work FIFO per node, and
+``close`` cancels every timer the runtime armed.
 
 Integration tests build small clusters on localhost ports and verify that
 the unmodified SDUR and Paxos cores commit transactions over real TCP.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
+from collections import deque
 from collections.abc import Callable
 from typing import Any
 
@@ -69,13 +74,23 @@ class AioWorld:
 
 
 class _AioTimer:
-    """Cancellable wrapper over ``loop.call_later``."""
+    """Cancellable ``loop.call_later`` handle, tracked while armed so that
+    closing the runtime can cancel it."""
 
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
-        self._handle = handle
+    __slots__ = ("_armed", "_handle")
+
+    def __init__(self, armed: set["_AioTimer"], delay: float, callback: Callable[[], None]) -> None:
+        self._armed = armed
+        self._handle = asyncio.get_running_loop().call_later(delay, self._fire, callback)
+        armed.add(self)
+
+    def _fire(self, callback: Callable[[], None]) -> None:
+        self._armed.discard(self)
+        callback()
 
     def cancel(self) -> None:
         self._handle.cancel()
+        self._armed.discard(self)
 
 
 class AioNodeRuntime(Runtime):
@@ -87,7 +102,10 @@ class AioNodeRuntime(Runtime):
         self.obs = world.obs
         self._handler: Callable[[str, Any], None] | None = None
         self._transport: AioTransport | None = None
-        self._send_tasks: set[asyncio.Task] = set()
+        self._timers: set[_AioTimer] = set()
+        #: Costed work not yet run, in submission order (head is running).
+        self._work: deque[tuple[float, Callable[[], None]]] = deque()
+        self._closed = False
 
     async def start(self) -> None:
         """Bind the TCP endpoint; requires :meth:`listen` to have been called."""
@@ -99,10 +117,11 @@ class AioNodeRuntime(Runtime):
         await self._transport.start()
 
     async def close(self) -> None:
-        for task in list(self._send_tasks):
-            task.cancel()
-        if self._send_tasks:
-            await asyncio.gather(*self._send_tasks, return_exceptions=True)
+        """Cancel armed timers and queued work; later calls are no-ops."""
+        self._closed = True
+        for timer in list(self._timers):
+            timer.cancel()
+        self._work.clear()
         if self._transport is not None:
             await self._transport.close()
 
@@ -111,15 +130,14 @@ class AioNodeRuntime(Runtime):
         return asyncio.get_running_loop().time()
 
     def send(self, dst: str, msg: Any) -> None:
-        if self._transport is None:
-            return
-        task = asyncio.get_running_loop().create_task(self._transport.send(dst, msg))
-        self._send_tasks.add(task)
-        task.add_done_callback(self._send_tasks.discard)
+        if self._transport is not None:
+            self._transport.post(dst, msg)
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        handle = asyncio.get_running_loop().call_later(delay, callback)
-        return _AioTimer(handle)
+        timer = _AioTimer(self._timers, delay, callback)
+        if self._closed:
+            timer.cancel()
+        return timer
 
     def listen(self, handler: Callable[[str, Any], None]) -> None:
         self._handler = handler
@@ -128,11 +146,25 @@ class AioNodeRuntime(Runtime):
         return self.world.rng.stream(f"{self.node_id}.{name}")
 
     def execute(self, cost: float, fn: Callable[[], None]) -> None:
-        # Real nodes pay real CPU; an artificial cost is modelled as a delay.
-        if cost <= 0:
+        # Real nodes pay real CPU; an artificial cost is modelled as a
+        # delay.  Work runs FIFO: anything submitted behind costed work
+        # waits for it, so only zero-cost work on an idle node runs inline.
+        if self._closed:
+            return
+        if cost <= 0 and not self._work:
             fn()
-        else:
-            asyncio.get_running_loop().call_later(cost, fn)
+            return
+        self._work.append((cost, fn))
+        if len(self._work) == 1:
+            self.set_timer(cost, self._run_head)
+
+    def _run_head(self) -> None:
+        try:
+            self._work[0][1]()
+        finally:
+            self._work.popleft()
+            if self._work:
+                self.set_timer(self._work[0][0], self._run_head)
 
     def latency_estimate(self, dst: str) -> float:
         return self.world.delay_estimates.get((self.node_id, dst), 0.0)
